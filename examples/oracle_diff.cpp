@@ -7,12 +7,12 @@
  * src/ies): exit status 0 means every comparison agreed bit-for-bit.
  *
  *   oracle_diff [--seeds=N] [--txns=N] [--start-seed=N] [--out=DIR]
- *               [--shards=N] [--batch=N]
+ *               [--batch=N]
  *
- * --shards=N (default 0) feeds the production board through the
- * set-sharded batch pipeline — feedBatch in chunks of --batch (default
- * 256) transactions at N shard workers — while the reference stays
- * serial, so the whole sharded hot path is diffed against the oracle.
+ * --batch=N (default 0: one feedCommitted call per tenure) feeds the
+ * production board through feedBatch in chunks of N transactions while
+ * the reference stays serial, so the whole batch hot path is diffed
+ * against the oracle. Unknown arguments are rejected (exit 2).
  *
  * On a divergence the minimized witness stream is written to DIR as a
  * replayable trace (see docs/TESTING.md for the reproduction recipe).
@@ -21,7 +21,7 @@
  *
  *   oracle_diff --from-checkpoint=FILE --config=NAME
  *               [--trace=FILE | --txns=N --start-seed=N]
- *               [--shards=N] [--batch=N]
+ *               [--batch=N]
  *
  * Both boards restore the IESCKPT checkpoint first (counters cleared),
  * then diff over the tail stream: either a replayable trace file
@@ -60,17 +60,26 @@ main(int argc, char **argv)
     std::uint64_t seeds = 100;
     std::uint64_t txns = 800;
     std::uint64_t start_seed = 1;
-    std::uint64_t shards = 0;
-    std::uint64_t batch = 256;
+    std::uint64_t batch = 0;
     std::string out_dir = "oracle-out";
     std::string checkpoint;
     std::string config_name;
     std::string trace_path;
     for (int i = 1; i < argc; ++i) {
+        bool known = false;
+        for (const char *flag :
+             {"--seeds=", "--txns=", "--start-seed=", "--batch=", "--out=",
+              "--from-checkpoint=", "--config=", "--trace="})
+            known = known || std::strncmp(argv[i], flag,
+                                          std::strlen(flag)) == 0;
+        if (!known) {
+            std::fprintf(stderr, "oracle_diff: unknown argument '%s'\n",
+                         argv[i]);
+            return 2;
+        }
         seeds = parseArg(argv[i], "--seeds", seeds);
         txns = parseArg(argv[i], "--txns", txns);
         start_seed = parseArg(argv[i], "--start-seed", start_seed);
-        shards = parseArg(argv[i], "--shards", shards);
         batch = parseArg(argv[i], "--batch", batch);
         if (std::strncmp(argv[i], "--out=", 6) == 0)
             out_dir = argv[i] + 6;
@@ -83,7 +92,6 @@ main(int argc, char **argv)
     }
 
     oracle::DiffOptions opts;
-    opts.shards = static_cast<std::size_t>(shards);
     opts.batchSize = static_cast<std::size_t>(batch);
 
     if (!checkpoint.empty()) {
@@ -138,10 +146,8 @@ main(int argc, char **argv)
 
     const auto lattice = oracle::latticeConfigs();
     std::string feed_desc;
-    if (shards > 0) {
-        feed_desc = ", sharded batch feed x" + std::to_string(shards) +
-                    " (batch " + std::to_string(batch) + ")";
-    }
+    if (batch > 0)
+        feed_desc = ", batch feed (batch " + std::to_string(batch) + ")";
     std::printf("oracle_diff: %llu seeds x %zu configs, %llu txns each "
                 "(start seed %llu%s)\n",
                 static_cast<unsigned long long>(seeds), lattice.size(),

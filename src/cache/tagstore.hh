@@ -26,10 +26,9 @@
  * All mutable state is confined to the touched set: recency stamps are
  * per-set (stamp = set max + 1 — the relative order within a set, which
  * is all victim selection ever reads, matches a global tick exactly),
- * and the Random policy draws from a per-set Rng. Disjoint sets can
- * therefore be driven from different threads with no shared state
- * (see docs/SHARDING.md); occupancy() is computed by scan for the same
- * reason.
+ * and the Random policy draws from a per-set Rng; occupancy() is
+ * computed by scan rather than kept in a shared counter. Both layouts
+ * are pinned by the IESCKPT directory encoding (docs/FORMATS.md).
  */
 
 #ifndef MEMORIES_CACHE_TAGSTORE_HH

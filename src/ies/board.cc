@@ -1,6 +1,5 @@
 #include "ies/board.hh"
 
-#include <algorithm>
 #include <cstdio>
 #include <sstream>
 
@@ -83,8 +82,6 @@ MemoriesBoard::MemoriesBoard(const BoardConfig &config, std::uint64_t seed)
         }
         group->nodes.push_back(static_cast<std::uint8_t>(i));
     }
-    rebuildSerialSinks();
-    rebuildShardScratch();
 }
 
 MemoriesBoard::~MemoriesBoard() = default;
@@ -123,7 +120,6 @@ MemoriesBoard::attachFlightRecorder(trace::FlightRecorder &recorder,
     boardId_ = boardId;
     for (auto &node : nodes_)
         node->setFlightRecorder(&recorder, boardId);
-    rebuildSerialSinks();
 }
 
 void
@@ -134,7 +130,6 @@ MemoriesBoard::detachFlightRecorder()
         node->setFlightRecorder(nullptr);
     if (injector_)
         injector_->setFlightRecorder(nullptr);
-    rebuildSerialSinks();
 }
 
 void
@@ -156,19 +151,12 @@ void
 MemoriesBoard::attachProfiler(profile::Profiler &profiler)
 {
     prof_ = &profiler;
-    prof_->bindShards(shardCount_);
 }
 
 void
 MemoriesBoard::detachProfiler()
 {
     prof_ = nullptr;
-}
-
-double
-MemoriesBoard::shardSkew() const
-{
-    return profile::occupancySkew(shardItems_);
 }
 
 void
@@ -212,23 +200,29 @@ MemoriesBoard::drainDue(Cycle now)
 {
     if (batching_) {
         // Batch path: pull everything due in one credit-earning pass
-        // and queue it per shard instead of emulating inline. This is
-        // the only per-tenure-frequency profiler hook, so it is
-        // sampled (1 in 2^6 timed) instead of paying a clock pair
-        // every call.
+        // onto the slab instead of emulating inline; runSlabTail()
+        // emulates it later in the same order. This is the only
+        // per-tenure-frequency profiler hook, so it is sampled (1 in
+        // 2^6 timed) instead of paying a clock pair every call.
         const std::size_t before = retireSlab_.size();
-        if (prof_) {
-            const std::uint64_t t0 =
-                prof_->sampledBegin(profile::Stage::CreditPacing);
+        if (prof_ && prof_->sampleBout()) {
+            const std::uint64_t t0 = profile::Profiler::nowNs();
             buffer_.drainInto(now, retireSlab_);
             prof_->sampledEnd(profile::Stage::CreditPacing, t0);
         } else {
             buffer_.drainInto(now, retireSlab_);
         }
-        if (journaling_)
+        if (journaling_) {
             retireEvents_.resize(retireSlab_.size());
-        for (std::size_t k = before; k < retireSlab_.size(); ++k)
-            routeRetired(static_cast<std::uint32_t>(k), now);
+            for (std::size_t k = before; k < retireSlab_.size(); ++k) {
+                JournalItem item;
+                item.kind = JournalItem::Kind::Retire;
+                item.ev = makeEvent(trace::EventKind::Retire,
+                                    retireSlab_[k], now);
+                item.retireIdx = static_cast<std::uint32_t>(k);
+                journal_.push_back(item);
+            }
+        }
         return;
     }
     while (auto txn = buffer_.drain(now)) {
@@ -237,43 +231,6 @@ MemoriesBoard::drainDue(Cycle now)
                 makeEvent(trace::EventKind::Retire, *txn, now));
         emulate(*txn);
     }
-}
-
-void
-MemoriesBoard::routeRetired(std::uint32_t idx, Cycle now)
-{
-    const bus::BusTransaction &txn = retireSlab_[idx];
-    if (journaling_) {
-        JournalItem item;
-        item.kind = JournalItem::Kind::Retire;
-        item.ev = makeEvent(trace::EventKind::Retire, txn, now);
-        item.retireIdx = idx;
-        journal_.push_back(item);
-    }
-    if (inlineEmulation_) {
-        emulateRetirement(idx);
-        slabEmulated_ = idx + 1;
-    } else if (shardCount_ > 1) {
-        buckets_[shardOf(txn.addr)].push_back(idx);
-    }
-    // Single shard: the slab itself is the queue — dispatch walks the
-    // tail from slabEmulated_, so there is nothing to route here.
-}
-
-void
-MemoriesBoard::emulateRetirement(std::uint32_t idx)
-{
-    // Canonical counters, but events still defer to the journal slot
-    // so replay keeps them behind board events already journaled.
-    std::vector<EmuSink> sinks;
-    sinks.reserve(nodes_.size());
-    for (auto &node : nodes_) {
-        sinks.push_back(EmuSink{
-            node->counterData(), nullptr,
-            journaling_ ? &retireEvents_[idx] : nullptr});
-    }
-    emulateStep(retireSlab_[idx], sinks.data());
-    inlineEmulation_ = anyNodeCorruption();
 }
 
 bus::SnoopResponse
@@ -440,14 +397,11 @@ MemoriesBoard::applyCommitFaults(const bus::BusTransaction &txn)
         buffer_.injectSlotLoss(faults.slots, faults.slotsUntil);
     if (faults.tagFlip && !nodes_.empty()) {
         // The flip probes the live directory, so retirement emulation
-        // queued behind it must land first; while the corruption
-        // awaits its scrub, later retirements emulate inline on this
-        // thread (the scrub mutates state every shard would race on).
+        // queued behind it must land first; later retirements (and
+        // the scrub they trigger) emulate after it, in order.
         flushEmulation();
         nodes_[faults.tagNode % nodes_.size()]->corruptLine(
             txn.addr, faults.tagBit);
-        if (batching_)
-            inlineEmulation_ = anyNodeCorruption();
     }
 }
 
@@ -535,152 +489,63 @@ MemoriesBoard::drainAll()
 void
 MemoriesBoard::emulate(const bus::BusTransaction &txn)
 {
-    emulateStep(txn, serialSinks_.data());
+    emulateStep(txn, EmuSink{recorder_, nullptr});
 }
 
 void
 MemoriesBoard::emulateStep(const bus::BusTransaction &txn,
-                           const EmuSink *sinks)
+                           const EmuSink &sink)
 {
     // Lock-step emulation step: within each target machine (groups
     // precomputed at construction) the non-owning nodes snoop first
     // (their combined emulated response is the "resulting state from
     // other cache nodes" input of the requester's protocol table),
-    // then the owning node applies its requester transition. Each
-    // node's effects go to its sink — its own bank on the serial
-    // path, a shard replica plus deferred events under the pool.
+    // then the owning node applies its requester transition. Events
+    // go to the sink — the recorder on the serial path, the
+    // retirement's journal slot on the batch path.
     for (const MachineGroup &m : machines_) {
         NodeController *owner = nullptr;
-        const EmuSink *owner_sink = nullptr;
         auto emu_resp = bus::SnoopResponse::None;
         for (std::uint8_t n : m.nodes) {
             NodeController *node = nodes_[n].get();
             if (node->ownsCpu(txn.cpu)) {
                 owner = node;
-                owner_sink = &sinks[n];
             } else {
                 emu_resp = bus::combineSnoop(
-                    emu_resp, node->snoopRemote(txn, sinks[n]));
+                    emu_resp, node->snoopRemote(txn, sink));
             }
         }
         if (owner)
-            owner->processLocal(txn, emu_resp, *owner_sink);
-    }
-}
-
-void
-MemoriesBoard::runShardBucket(std::size_t shard)
-{
-    const std::vector<std::uint32_t> &bucket = buckets_[shard];
-    if (bucket.empty())
-        return;
-    std::vector<EmuSink> &sinks = shardSinks_[shard];
-    // Pull the directory sets a few retirements ahead so the tag loads
-    // overlap the current step's protocol work.
-    constexpr std::size_t prefetch_dist = 8;
-    for (std::size_t i = 0; i < bucket.size(); ++i) {
-        if (i + prefetch_dist < bucket.size()) {
-            const Addr ahead = retireSlab_[bucket[i + prefetch_dist]].addr;
-            for (const auto &node : nodes_)
-                node->prefetchDirectory(ahead);
-        }
-        const std::uint32_t idx = bucket[i];
-        if (journaling_) {
-            std::vector<trace::LifecycleEvent> *slot =
-                &retireEvents_[idx];
-            for (EmuSink &sink : sinks)
-                sink.deferred = slot;
-        }
-        emulateStep(retireSlab_[idx], sinks.data());
+            owner->processLocal(txn, emu_resp, sink);
     }
 }
 
 void
 MemoriesBoard::runSlabTail()
 {
-    std::vector<EmuSink> &sinks = shardSinks_[0];
     const std::size_t end = retireSlab_.size();
+    // Pull the directory sets a few retirements ahead so the tag loads
+    // overlap the current step's protocol work.
     constexpr std::size_t prefetch_dist = 8;
+    EmuSink sink;
     for (std::size_t i = slabEmulated_; i < end; ++i) {
         if (i + prefetch_dist < end) {
             const Addr ahead = retireSlab_[i + prefetch_dist].addr;
             for (const auto &node : nodes_)
                 node->prefetchDirectory(ahead);
         }
-        if (journaling_) {
-            std::vector<trace::LifecycleEvent> *slot = &retireEvents_[i];
-            for (EmuSink &sink : sinks)
-                sink.deferred = slot;
-        }
-        emulateStep(retireSlab_[i], sinks.data());
+        if (journaling_)
+            sink.deferred = &retireEvents_[i];
+        emulateStep(retireSlab_[i], sink);
     }
     slabEmulated_ = end;
-}
-
-void
-MemoriesBoard::dispatchBuckets()
-{
-    if (shardCount_ == 1) {
-        const std::uint64_t items = static_cast<std::uint64_t>(
-            retireSlab_.size() - slabEmulated_);
-        shardItems_[0] += items;
-        if (prof_ && items > 0) {
-            const std::uint64_t disp_t0 = profile::Profiler::nowNs();
-            prof_->noteDispatch(disp_t0);
-            prof_->noteShardItems(0, items);
-            const std::uint64_t t0 = prof_->shardBegin(0);
-            runSlabTail();
-            prof_->shardEnd(0, t0);
-            prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-        } else {
-            runSlabTail();
-        }
-        return;
-    }
-    bool any = false;
-    for (const auto &bucket : buckets_) {
-        if (!bucket.empty()) {
-            any = true;
-            break;
-        }
-    }
-    slabEmulated_ = retireSlab_.size();
-    if (!any)
-        return;
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        shardItems_[s] += buckets_[s].size();
-    if (prof_) {
-        const std::uint64_t disp_t0 = profile::Profiler::nowNs();
-        prof_->noteDispatch(disp_t0);
-        for (std::size_t s = 0; s < shardCount_; ++s)
-            prof_->noteShardItems(s, buckets_[s].size());
-        pool_->runAll([this](std::size_t shard) {
-            const std::uint64_t t0 = prof_->shardBegin(shard);
-            runShardBucket(shard);
-            prof_->shardEnd(shard, t0);
-        });
-        prof_->recordStage(profile::Stage::ShardDispatch, disp_t0);
-    } else {
-        pool_->runAll(
-            [this](std::size_t shard) { runShardBucket(shard); });
-    }
-    for (auto &bucket : buckets_)
-        bucket.clear();
-    // Fold the per-shard counter deltas into the node banks. Counter40
-    // adds commute modulo 2^40, so folding at every join yields the
-    // same bytes as one fold at the end — and as the serial path.
-    profile::ScopedStage merge_scope(prof_,
-                                     profile::Stage::CounterMerge);
-    for (std::size_t s = 0; s < shardCount_; ++s)
-        for (std::size_t n = 0; n < nodes_.size(); ++n)
-            nodes_[n]->absorbShardCounters(shardCounters_[s][n]);
 }
 
 void
 MemoriesBoard::flushEmulation()
 {
     if (batching_)
-        dispatchBuckets();
+        runSlabTail();
 }
 
 void
@@ -704,103 +569,6 @@ MemoriesBoard::replayJournal()
     }
 }
 
-void
-MemoriesBoard::rebuildSerialSinks()
-{
-    serialSinks_.clear();
-    for (auto &node : nodes_)
-        serialSinks_.push_back(
-            EmuSink{node->counterData(), recorder_, nullptr});
-}
-
-void
-MemoriesBoard::rebuildShardScratch()
-{
-    shardItems_.assign(shardCount_, 0);
-    buckets_.assign(shardCount_, {});
-    shardCounters_.clear();
-    shardSinks_.clear();
-    shardCounters_.resize(shardCount_);
-    shardSinks_.resize(shardCount_);
-    for (std::size_t s = 0; s < shardCount_; ++s) {
-        for (std::size_t n = 0; n < nodes_.size(); ++n) {
-            if (shardCount_ > 1) {
-                shardCounters_[s].emplace_back(
-                    nodes_[n]->counterCount());
-                shardSinks_[s].push_back(EmuSink{
-                    shardCounters_[s][n].data(), nullptr, nullptr});
-            } else {
-                // Single shard runs inline on the coordinator: write
-                // the node banks directly, nothing to fold.
-                shardSinks_[s].push_back(EmuSink{
-                    nodes_[n]->counterData(), nullptr, nullptr});
-            }
-        }
-    }
-}
-
-bool
-MemoriesBoard::anyNodeCorruption() const
-{
-    for (const auto &node : nodes_) {
-        if (node->hasCorruption())
-            return true;
-    }
-    return false;
-}
-
-std::size_t
-MemoriesBoard::enableSharding(std::size_t shards)
-{
-    std::size_t want = 1;
-    while (want * 2 <= shards && want < 64)
-        want *= 2;
-    // Containment: the key must be address bits that are part of the
-    // set index of *every* node's directory, so two tenures that can
-    // ever share a directory set always share a shard. Node i's
-    // (sampled) set index covers address bits [lineShift_i + shift_i,
-    // lineShift_i + shift_i + log2(sets_i)); the key window
-    // [base, base + log2(want)) must sit inside all of them
-    // (docs/SHARDING.md). Line sizes may differ per node, so this is
-    // computed in absolute address-bit space.
-    unsigned base = 0;
-    unsigned min_top = 64;
-    for (const auto &node : nodes_) {
-        const unsigned lo =
-            static_cast<unsigned>(
-                log2i(node->config().cache.lineSize)) +
-            node->samplingShift();
-        const unsigned top =
-            lo + static_cast<unsigned>(log2i(node->directorySets()));
-        base = std::max(base, lo);
-        min_top = std::min(min_top, top);
-    }
-    while (want > 1 && base + log2i(want) > min_top)
-        want /= 2;
-
-    shardCount_ = want;
-    shardShift_ = base;
-    shardMask_ = shardCount_ - 1;
-    pool_ = shardCount_ > 1 ? std::make_unique<ShardPool>(shardCount_)
-                            : nullptr;
-    rebuildShardScratch();
-    if (prof_)
-        prof_->bindShards(shardCount_);
-    return shardCount_;
-}
-
-void
-MemoriesBoard::disableSharding()
-{
-    pool_.reset();
-    shardCount_ = 1;
-    shardShift_ = 0;
-    shardMask_ = 0;
-    rebuildShardScratch();
-    if (prof_)
-        prof_->bindShards(shardCount_);
-}
-
 std::size_t
 MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
                          std::size_t count, bool *accepted)
@@ -812,7 +580,6 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
 
     batching_ = true;
     journaling_ = recorder_ != nullptr;
-    inlineEmulation_ = anyNodeCorruption();
     retireSlab_.clear();
     slabEmulated_ = 0;
     retireEvents_.clear();
@@ -897,7 +664,13 @@ MemoriesBoard::feedBatch(const bus::BusTransaction *txns,
         g[hLostInflight_].add(n_lost);
     }
 
-    dispatchBuckets();
+    {
+        // A tag flip may already have emulated part of the slab inside
+        // admission (flushEmulation); that time stays attributed there.
+        profile::ScopedStage emulation_scope(prof_,
+                                             profile::Stage::Emulation);
+        runSlabTail();
+    }
     batching_ = false;
     if (journaling_) {
         profile::ScopedStage replay_scope(
@@ -954,7 +727,6 @@ MemoriesBoard::clearCounters()
     global_.clearAll();
     for (auto &node : nodes_)
         node->clearCounters();
-    std::fill(shardItems_.begin(), shardItems_.end(), 0);
 }
 
 void

@@ -127,14 +127,12 @@ diffStreamImpl(const ies::BoardConfig &config,
                  (ref_ok ? "accepted" : "rejected"));
         }
     };
-    if (opts.shards == 0) {
+    if (opts.batchSize == 0) {
         for (const bus::BusTransaction &txn : stream)
             noteAcceptance(txn, board->feedCommitted(txn),
                            ref.feedCommitted(txn));
     } else {
-        board->enableSharding(opts.shards);
-        const std::size_t chunk =
-            opts.batchSize == 0 ? 256 : opts.batchSize;
+        const std::size_t chunk = opts.batchSize;
         std::vector<char> flag_buf(chunk, 0);
         bool *flags = reinterpret_cast<bool *>(flag_buf.data());
         for (std::size_t at = 0; at < stream.size(); at += chunk) {

@@ -69,9 +69,11 @@ void writeMergedChromeTraceFile(
 
 /**
  * JSON object (no trailing newline) with the per-stage breakdown:
- * {"refs":N,"batches":B,"stages":[{"stage":...,"calls":...,"ns":...,
- * "ns_per_ref":...},...],"shards":[...],"imbalance":X}. ns_per_ref
- * divides by @p refs (0 renders as 0).
+ * {"refs":N,"batches":B,"stages":[{"stage":...,"parent":...,
+ * "calls":...,"ns":...,"ns_per_ref":...},...]}. "parent" names the
+ * flamegraph parent (the root names itself), so consumers can check
+ * the tree without hard-coding it. ns_per_ref divides by @p refs (0
+ * renders as 0).
  */
 std::string profileJson(const Profiler &profiler, std::uint64_t refs);
 

@@ -73,11 +73,9 @@ runSerial(const BoardConfig &cfg,
 FeedOutcome
 runBatched(const BoardConfig &cfg,
            const std::vector<bus::BusTransaction> &txns,
-           std::size_t batch_size, std::size_t shards)
+           std::size_t batch_size)
 {
     MemoriesBoard board(cfg);
-    if (shards > 1)
-        board.enableSharding(shards);
     std::vector<std::uint8_t> accepted(txns.size(), 0);
     std::vector<char> flags(batch_size, 0);
     for (std::size_t at = 0; at < txns.size(); at += batch_size) {
@@ -129,23 +127,22 @@ firstDifference(const FeedOutcome &serial, const FeedOutcome &batched)
 void
 checkEquivalence(const BoardConfig &cfg,
                  const std::vector<bus::BusTransaction> &txns,
-                 std::size_t batch_size, std::size_t shards,
-                 const std::string &what)
+                 std::size_t batch_size, const std::string &what)
 {
     const FeedOutcome serial = runSerial(cfg, txns);
     const FeedOutcome batched =
-        runBatched(cfg, txns, batch_size, shards);
+        runBatched(cfg, txns, batch_size);
     if (serial == batched)
         return;
 
     const auto still_fails =
         [&](const std::vector<bus::BusTransaction> &candidate) {
             return runSerial(cfg, candidate) !=
-                   runBatched(cfg, candidate, batch_size, shards);
+                   runBatched(cfg, candidate, batch_size);
         };
     const auto shrunk = oracle::shrinkStream(txns, still_fails);
     const FeedOutcome s2 = runSerial(cfg, shrunk);
-    const FeedOutcome b2 = runBatched(cfg, shrunk, batch_size, shards);
+    const FeedOutcome b2 = runBatched(cfg, shrunk, batch_size);
     ADD_FAILURE() << what << ": feedBatch diverged ("
                   << firstDifference(serial, batched)
                   << "); ddmin shrank " << txns.size() << " txns to "
@@ -174,7 +171,7 @@ TEST(FeedBatchPropertyTest, BatchSizesAreEquivalentToSerial)
         const auto txns = propertyStream(seed);
         for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                                   std::size_t{64}, std::size_t{4096}}) {
-            checkEquivalence(cfg, txns, batch, 1,
+            checkEquivalence(cfg, txns, batch,
                              "seed " + std::to_string(seed) +
                                  " batch " + std::to_string(batch));
         }
@@ -183,15 +180,24 @@ TEST(FeedBatchPropertyTest, BatchSizesAreEquivalentToSerial)
 
 TEST(FeedBatchPropertyTest, BatchSizesAreEquivalentUnderSharding)
 {
-    const BoardConfig cfg = makeUniformBoard(
-        4, 2,
-        cache::CacheConfig{2 * MiB, 4, 128,
-                           cache::ReplacementPolicy::LRU});
+    // A multi-config board — three geometries, three target machines,
+    // one of them set sampled — so every emulation step walks several
+    // machine groups. (The test id predates the removal of intra-board
+    // sharding.)
+    BoardConfig cfg = makeMultiConfigBoard(
+        {cache::CacheConfig{2 * MiB, 2, 128,
+                            cache::ReplacementPolicy::LRU},
+         cache::CacheConfig{4 * MiB, 4, 128,
+                            cache::ReplacementPolicy::TreePLRU},
+         cache::CacheConfig{8 * MiB, 8, 128,
+                            cache::ReplacementPolicy::Random}},
+        8);
+    cfg.nodes[2].setSamplingShift = 2;
     const auto txns = propertyStream(7);
     for (std::size_t batch : {std::size_t{1}, std::size_t{7},
                               std::size_t{64}, std::size_t{4096}}) {
-        checkEquivalence(cfg, txns, batch, 4,
-                         "sharded batch " + std::to_string(batch));
+        checkEquivalence(cfg, txns, batch,
+                         "multi-config batch " + std::to_string(batch));
     }
 }
 
@@ -209,7 +215,7 @@ TEST(FeedBatchPropertyTest, PacedBufferStaysEquivalent)
         const auto txns = propertyStream(seed);
         for (std::size_t batch :
              {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
-            checkEquivalence(cfg, txns, batch, 2,
+            checkEquivalence(cfg, txns, batch,
                              "paced seed " + std::to_string(seed) +
                                  " batch " + std::to_string(batch));
         }

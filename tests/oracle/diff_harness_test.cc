@@ -108,18 +108,19 @@ TEST(DiffLatticeTest, SmallSweepIsClean)
 TEST(DiffLatticeTest, ShardedSweepIsClean)
 {
     // Same miniature sweep, but the production board is fed through
-    // the set-sharded batch pipeline. The oracle never batches, so
-    // this diffs the whole sharded hot path against the naive model;
-    // the 100-seed versions run in CI via oracle_diff --shards.
-    for (const std::size_t shards : {std::size_t{2}, std::size_t{4}}) {
+    // the batch pipeline at each batch-size leg. The oracle never
+    // batches, so this diffs the whole batch hot path against the
+    // naive model; the 100-seed versions run in CI via
+    // oracle_diff --batch.
+    for (const std::size_t batch :
+         {std::size_t{1}, std::size_t{64}, std::size_t{4096}}) {
         DiffOptions opts;
-        opts.shards = shards;
-        opts.batchSize = 128;
+        opts.batchSize = batch;
         const LatticeRun run = runLattice(1, 2, 300, "", opts);
         EXPECT_EQ(run.comparisons, 2 * latticeConfigs().size());
         for (const auto &div : run.divergences) {
             ADD_FAILURE() << "config " << div.configName << " seed "
-                          << div.seed << " @" << shards << " shards:\n"
+                          << div.seed << " @batch " << batch << ":\n"
                           << div.report.describe();
         }
     }
@@ -127,18 +128,18 @@ TEST(DiffLatticeTest, ShardedSweepIsClean)
 
 TEST(DiffHarnessTest, ShardedFeedStillCatchesMutations)
 {
-    // The sharded feed must not blunt the harness: a mutated oracle
+    // The batch feed must not blunt the harness: a mutated oracle
     // still has to diverge when the production side batches.
     const auto cfg = conflictBoard(cache::ReplacementPolicy::TreePLRU);
     DiffOptions opts;
     opts.mutation = RefMutation::SkipPlruTouchOnHit;
-    opts.shards = 4;
+    opts.batchSize = 64;
     bool caught = false;
     for (std::uint64_t seed = 1; seed <= 5 && !caught; ++seed)
         caught = diffStream(cfg, stream(seed, 600, hotParams()), opts)
                      .diverged;
     EXPECT_TRUE(caught)
-        << "PLRU mutation survived the sharded-feed harness";
+        << "PLRU mutation survived the batch-feed harness";
 }
 
 TEST(DiffHarnessTest, AgreesOnDefaultBoard)

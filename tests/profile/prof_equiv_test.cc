@@ -2,29 +2,25 @@
  * @file
  * IESPROF non-perturbation tier: attaching a profiler must not change
  * one observable byte of the emulation. "Byte-identical" is taken as
- * literally as in the sharding tier it mirrors: every global and node
- * counter, every node's directorySnapshot(), the retirement order,
- * the buffer statistics, and the chrome-trace JSON rendered from the
- * flight-recorder ring must match between an instrumented run and a
- * bare one — across the serial path, the threadless batch path, and
- * the shard pool at every supported worker count.
- *
- * Run under TSan (CI's shard-equivalence leg) this also proves the
- * per-thread shard slabs race-free: workers write their own cells,
- * the pool's fork/join mutex orders them against the coordinator.
+ * literally as in the batch equivalence tier it mirrors: every global
+ * and node counter, every node's directorySnapshot(), the retirement
+ * order, the buffer statistics, and the chrome-trace JSON rendered
+ * from the flight-recorder ring must match between an instrumented
+ * run and a bare one — across the serial path and the batch path at
+ * every batch-size leg. CI also runs it under TSan (batch-equiv job).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "ies/board.hh"
-#include "oracle/stimulus.hh"
 #include "profile/profiler.hh"
-#include "trace/chrometrace.hh"
+#include "support/board_signature.hh"
 #include "trace/lifecycle.hh"
 
 namespace memories::profile
@@ -32,133 +28,18 @@ namespace memories::profile
 namespace
 {
 
-/** Everything observable about a board after a run. */
-struct BoardSignature
-{
-    std::vector<std::pair<std::string, std::uint64_t>> counters;
-    std::vector<std::vector<std::pair<Addr, cache::LineStateRaw>>> dirs;
-    std::uint64_t bufferRetired = 0;
-    std::size_t bufferSize = 0;
-    std::size_t bufferHighWater = 0;
-    std::vector<std::uint32_t> retirementOrder;
-    std::string chromeTrace;
-};
+using test::BoardSignature;
+using test::cacheCfg;
+using test::equivConfigs;
+using test::expectIdentical;
+using test::signatureOf;
+using test::stream;
 
-BoardSignature
-signatureOf(const ies::MemoriesBoard &board,
-            const trace::FlightRecorder *recorder)
-{
-    BoardSignature sig;
-    board.globalCounters().snapshot([&](const CounterSample &s) {
-        sig.counters.emplace_back(s.name, s.value);
-    });
-    for (std::size_t i = 0; i < board.numNodes(); ++i) {
-        board.node(i).counters().snapshot([&](const CounterSample &s) {
-            sig.counters.emplace_back(s.name, s.value);
-        });
-        sig.dirs.push_back(board.node(i).directorySnapshot());
-    }
-    sig.bufferRetired = board.bufferRetired();
-    sig.bufferSize = board.bufferSize();
-    sig.bufferHighWater = board.bufferHighWater();
-    if (recorder) {
-        const auto events = recorder->snapshot();
-        for (const auto &ev : events) {
-            if (ev.kind == trace::EventKind::Retire)
-                sig.retirementOrder.push_back(ev.traceId);
-        }
-        sig.chromeTrace = trace::chromeTraceToString(events, recorder);
-    }
-    return sig;
-}
-
-void
-expectIdentical(const BoardSignature &bare,
-                const BoardSignature &profiled, const std::string &what)
-{
-    ASSERT_EQ(bare.counters.size(), profiled.counters.size()) << what;
-    for (std::size_t i = 0; i < bare.counters.size(); ++i) {
-        EXPECT_EQ(bare.counters[i].second, profiled.counters[i].second)
-            << what << ": counter " << bare.counters[i].first;
-    }
-    ASSERT_EQ(bare.dirs.size(), profiled.dirs.size()) << what;
-    for (std::size_t n = 0; n < bare.dirs.size(); ++n)
-        EXPECT_EQ(bare.dirs[n], profiled.dirs[n])
-            << what << ": node " << n << " directory";
-    EXPECT_EQ(bare.bufferRetired, profiled.bufferRetired) << what;
-    EXPECT_EQ(bare.bufferSize, profiled.bufferSize) << what;
-    EXPECT_EQ(bare.bufferHighWater, profiled.bufferHighWater) << what;
-    EXPECT_EQ(bare.retirementOrder, profiled.retirementOrder) << what;
-    EXPECT_EQ(bare.chromeTrace, profiled.chromeTrace) << what;
-}
-
-std::vector<bus::BusTransaction>
-stream(std::uint64_t seed, std::size_t count)
-{
-    oracle::StimulusParams p;
-    p.seed = seed;
-    p.count = count;
-    p.cpus = 8;
-    return oracle::StimulusGen(p).generate();
-}
-
-cache::CacheConfig
-cacheCfg(std::uint64_t bytes, unsigned assoc,
-         cache::ReplacementPolicy policy = cache::ReplacementPolicy::LRU)
-{
-    return cache::CacheConfig{bytes, assoc, 128, policy};
-}
-
-/** The geometries the tier sweeps; same lattice as shard_equiv. */
-struct EquivConfig
-{
-    std::string name;
-    ies::BoardConfig board;
-};
-
-std::vector<EquivConfig>
-equivConfigs()
-{
-    using ies::makeMultiConfigBoard;
-    using ies::makeUniformBoard;
-    std::vector<EquivConfig> cfgs;
-    cfgs.push_back(
-        {"mesi-4node", makeUniformBoard(4, 2, cacheCfg(2 * MiB, 4))});
-    cfgs.push_back(
-        {"moesi-2node-fifo",
-         makeUniformBoard(2, 4,
-                          cacheCfg(2 * MiB, 2,
-                                   cache::ReplacementPolicy::FIFO),
-                          "MOESI")});
-    cfgs.push_back(
-        {"multicfg",
-         makeMultiConfigBoard({cacheCfg(2 * MiB, 2), cacheCfg(4 * MiB, 4),
-                               cacheCfg(8 * MiB, 8)},
-                              4)});
-    {
-        // Tiny, slow buffer: pacing, overflow, and drop paths fire —
-        // the CreditPacing hook must not change what gets dropped.
-        ies::BoardConfig tiny =
-            makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
-        tiny.bufferEntries = 32;
-        tiny.sdramThroughputPercent = 10;
-        cfgs.push_back({"tinybuf", std::move(tiny)});
-    }
-    return cfgs;
-}
-
-enum class Feed
-{
-    Serial,  //!< feedCommitted per element
-    Batch,   //!< feedBatch, threadless
-    Sharded, //!< feedBatch across a worker pool
-};
-
+/** Feed @p txns serially (@p batch == 0) or in feedBatch chunks. */
 BoardSignature
 run(const ies::BoardConfig &cfg,
-    const std::vector<bus::BusTransaction> &txns, Feed feed,
-    std::size_t shards, bool profiled, bool record,
-    Profiler *prof_out = nullptr)
+    const std::vector<bus::BusTransaction> &txns, std::size_t batch,
+    bool profiled, bool record, Profiler *prof_out = nullptr)
 {
     ies::MemoriesBoard board(cfg);
     std::unique_ptr<trace::FlightRecorder> recorder;
@@ -170,15 +51,12 @@ run(const ies::BoardConfig &cfg,
     Profiler &prof = prof_out ? *prof_out : local;
     if (profiled)
         board.attachProfiler(prof);
-    if (feed == Feed::Sharded && shards > 1)
-        board.enableSharding(shards);
-    if (feed == Feed::Serial) {
+    if (batch == 0) {
         for (const auto &t : txns)
             board.feedCommitted(t);
     } else {
-        constexpr std::size_t chunk = 512;
-        for (std::size_t at = 0; at < txns.size(); at += chunk) {
-            const std::size_t n = std::min(chunk, txns.size() - at);
+        for (std::size_t at = 0; at < txns.size(); at += batch) {
+            const std::size_t n = std::min(batch, txns.size() - at);
             board.feedBatch(&txns[at], n);
         }
     }
@@ -187,26 +65,17 @@ run(const ies::BoardConfig &cfg,
 
 TEST(ProfEquivTest, AttachedMatchesDetachedAcrossFeedsAndShards)
 {
-    struct Leg
-    {
-        std::string name;
-        Feed feed;
-        std::size_t shards;
-    };
-    const std::vector<Leg> legs = {
-        {"serial", Feed::Serial, 1},   {"batch@1", Feed::Batch, 1},
-        {"sharded@2", Feed::Sharded, 2}, {"sharded@4", Feed::Sharded, 4},
-        {"sharded@8", Feed::Sharded, 8},
-    };
+    // Batch 0 is the serial feed; the rest are the batch-size legs.
     for (const auto &cfg : equivConfigs()) {
         const auto txns = stream(101, 3000);
-        for (const auto &leg : legs) {
-            const auto bare = run(cfg.board, txns, leg.feed,
-                                  leg.shards, false, true);
-            const auto profiled = run(cfg.board, txns, leg.feed,
-                                      leg.shards, true, true);
+        for (const std::size_t batch :
+             {std::size_t{0}, std::size_t{1}, std::size_t{64},
+              std::size_t{4096}}) {
+            const auto bare = run(cfg.board, txns, batch, false, true);
+            const auto profiled =
+                run(cfg.board, txns, batch, true, true);
             expectIdentical(bare, profiled,
-                            cfg.name + " " + leg.name);
+                            cfg.name + " batch " + std::to_string(batch));
         }
     }
 }
@@ -214,21 +83,17 @@ TEST(ProfEquivTest, AttachedMatchesDetachedAcrossFeedsAndShards)
 TEST(ProfEquivTest, ProfiledShardedRunActuallyMeasuredSomething)
 {
     // Guard against the equivalence passing vacuously because the
-    // hooks never fired: the instrumented leg must have attributed
-    // real time and real per-shard work.
+    // hooks never fired: the instrumented batch leg must have
+    // attributed real time to admission and emulation.
     const auto cfgs = equivConfigs();
     const auto txns = stream(211, 3000);
     Profiler prof;
-    run(cfgs.front().board, txns, Feed::Sharded, 4, true, false,
-        &prof);
+    run(cfgs.front().board, txns, 512, true, false, &prof);
     const ProfReport report = prof.snapshot();
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.stage(Stage::FeedBatch).estNs(), 0u);
     EXPECT_GT(report.stage(Stage::CreditPacing).calls, 0u);
-    std::uint64_t items = 0;
-    for (const ShardStats &s : report.shards)
-        items += s.items;
-    EXPECT_GT(items, 0u);
+    EXPECT_EQ(report.stage(Stage::Emulation).calls, report.batches);
 }
 
 TEST(ProfEquivTest, MidRunAttachDetachLeavesStateUntouched)
@@ -238,13 +103,11 @@ TEST(ProfEquivTest, MidRunAttachDetachLeavesStateUntouched)
     const ies::BoardConfig cfg =
         ies::makeUniformBoard(2, 4, cacheCfg(2 * MiB, 4));
     const auto txns = stream(307, 3000);
-    const auto bare =
-        run(cfg, txns, Feed::Sharded, 4, false, true);
+    const auto bare = run(cfg, txns, 512, false, true);
 
     ies::MemoriesBoard board(cfg);
     trace::FlightRecorder recorder(1 << 14);
     board.attachFlightRecorder(recorder);
-    board.enableSharding(4);
     Profiler prof;
     const std::size_t third = txns.size() / 3;
     auto feed = [&](std::size_t from, std::size_t to) {

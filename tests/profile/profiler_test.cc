@@ -1,9 +1,9 @@
 /**
  * @file
- * IESPROF unit tier: stage/shard accounting, the sampled-stage
- * estimator's scale factor, occupancy-skew math, and the three export
- * surfaces (folded stacks, merged chrome trace, profile JSON,
- * telemetry gauges). The non-perturbation claim — attached vs
+ * IESPROF unit tier: stage accounting, the sampled-stage estimator's
+ * scale factor, the clock-overhead correction that keeps every stage
+ * inside its parent, and the export surfaces (folded stacks, merged
+ * chrome trace, profile JSON, telemetry series). The non-perturbation claim — attached vs
  * detached byte-equivalence — lives in prof_equiv_test.cc; this file
  * pins the arithmetic and the formats.
  */
@@ -53,14 +53,14 @@ TEST(ProfilerTest, RecordStageAccumulatesCallsAndTime)
 {
     Profiler prof;
     const std::uint64_t t0 = Profiler::nowNs();
-    prof.recordStage(Stage::CounterMerge, t0);
-    prof.recordStage(Stage::CounterMerge, t0);
+    prof.recordStage(Stage::JournalReplay, t0);
+    prof.recordStage(Stage::JournalReplay, t0);
     const ProfReport report = prof.snapshot();
-    EXPECT_EQ(report.stage(Stage::CounterMerge).calls, 2u);
-    EXPECT_EQ(report.stage(Stage::CounterMerge).timed, 2u);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).calls, 2u);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).timed, 2u);
     // Fully-timed stages estimate exactly what they measured.
-    EXPECT_EQ(report.stage(Stage::CounterMerge).estNs(),
-              report.stage(Stage::CounterMerge).ns);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).estNs(),
+              report.stage(Stage::JournalReplay).ns);
 }
 
 TEST(ProfilerTest, SampledStageScalesEstimateByStride)
@@ -70,8 +70,8 @@ TEST(ProfilerTest, SampledStageScalesEstimateByStride)
     // estimator must scale the measured time back up by calls/timed.
     const std::uint64_t bouts = 4 * (Profiler::sampleMask + 1);
     for (std::uint64_t i = 0; i < bouts; ++i) {
-        const std::uint64_t t0 = prof.sampledBegin(Stage::CreditPacing);
-        prof.sampledEnd(Stage::CreditPacing, t0);
+        if (prof.sampleBout())
+            prof.sampledEnd(Stage::CreditPacing, Profiler::nowNs());
     }
     const ProfReport report = prof.snapshot();
     const StageStats &s = report.stage(Stage::CreditPacing);
@@ -88,28 +88,18 @@ TEST(ProfilerTest, ScopedStageIsANoOpOnNullProfiler)
     SUCCEED();
 }
 
-TEST(ProfilerTest, OccupancySkewIsMaxOverMean)
-{
-    EXPECT_DOUBLE_EQ(occupancySkew({}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({42}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({0, 0, 0, 0}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({10, 10}), 1.0);
-    EXPECT_DOUBLE_EQ(occupancySkew({30, 10}), 1.5);
-    EXPECT_DOUBLE_EQ(occupancySkew({40, 0, 0, 0}), 4.0);
-}
-
 TEST(ProfilerTest, ResetClearsEverything)
 {
     Profiler prof;
     prof.beginBatch(0);
-    prof.recordStage(Stage::CounterMerge, Profiler::nowNs());
+    prof.recordStage(Stage::JournalReplay, Profiler::nowNs());
     prof.endBatch(100, Profiler::nowNs() - 10);
     ASSERT_GT(prof.snapshot().batches, 0u);
     prof.reset();
     const ProfReport report = prof.snapshot();
     EXPECT_EQ(report.batches, 0u);
     EXPECT_EQ(report.spansRecorded, 0u);
-    EXPECT_EQ(report.stage(Stage::CounterMerge).calls, 0u);
+    EXPECT_EQ(report.stage(Stage::JournalReplay).calls, 0u);
 }
 
 TEST(ProfilerTest, SpanRingDropsNewAtCapacity)
@@ -127,14 +117,12 @@ TEST(ProfilerTest, SpanRingDropsNewAtCapacity)
     EXPECT_EQ(prof.spans().front().batch, 1u);
 }
 
-/** A profiled sharded run over a real board, for the export tests. */
+/** A profiled batch run over a real board, for the export tests. */
 Profiler &
 profiledRun(ies::MemoriesBoard &board, Profiler &prof,
-            std::size_t shards, std::size_t count = 2000)
+            std::size_t count = 2000)
 {
     board.attachProfiler(prof);
-    if (shards > 1)
-        board.enableSharding(shards);
     oracle::StimulusParams p;
     p.seed = 7;
     p.count = count;
@@ -161,31 +149,21 @@ TEST(ProfilerTest, BoardRunAttributesTimeToEveryHotStage)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 4);
+    profiledRun(board, prof);
 
     const ProfReport report = prof.snapshot();
     EXPECT_GT(report.batches, 0u);
     EXPECT_GT(report.stage(Stage::FeedBatch).estNs(), 0u);
     EXPECT_GT(report.stage(Stage::BatchAdmission).estNs(), 0u);
-    EXPECT_GT(report.stage(Stage::ShardDispatch).estNs(), 0u);
-    // ShardEmulation is derived from the per-shard busy sums.
-    std::uint64_t busy = 0, items = 0;
-    for (const ShardStats &s : report.shards) {
-        busy += s.busyNs;
-        items += s.items;
-    }
-    EXPECT_EQ(report.shards.size(), 4u);
-    EXPECT_EQ(report.stage(Stage::ShardEmulation).ns, busy);
-    EXPECT_GT(items, 0u);
-    EXPECT_GE(report.imbalance(), 1.0);
+    EXPECT_GT(report.stage(Stage::Emulation).estNs(), 0u);
+    EXPECT_EQ(report.stage(Stage::Emulation).calls, report.batches);
 
     // The stage tree must attribute ~all of feed_batch to its direct
     // children — the same invariant check_bench_regression.py gates.
     const std::uint64_t total = report.stage(Stage::FeedBatch).estNs();
     const std::uint64_t children =
         report.stage(Stage::BatchAdmission).estNs() +
-        report.stage(Stage::ShardDispatch).estNs() +
-        report.stage(Stage::CounterMerge).estNs() +
+        report.stage(Stage::Emulation).estNs() +
         report.stage(Stage::JournalReplay).estNs();
     EXPECT_LT(children, total * 11 / 10);
 }
@@ -194,20 +172,19 @@ TEST(ProfilerTest, DescribeNamesStagesAndShards)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
     const std::string text = prof.describe();
     EXPECT_NE(text.find("feed_batch"), std::string::npos);
     EXPECT_NE(text.find("batch_admission"), std::string::npos);
-    EXPECT_NE(text.find("shard 0:"), std::string::npos);
-    EXPECT_NE(text.find("shard 1:"), std::string::npos);
-    EXPECT_NE(text.find("imbalance"), std::string::npos);
+    EXPECT_NE(text.find("credit_pacing"), std::string::npos);
+    EXPECT_NE(text.find("emulation"), std::string::npos);
 }
 
 TEST(ProfilerTest, FoldedStacksCarryRootedSemicolonPaths)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
     const std::string folded = foldedStacks(prof);
     ASSERT_FALSE(folded.empty());
     // Every line: "frame(;frame)* <integer>\n", rooted at feed_batch.
@@ -224,9 +201,10 @@ TEST(ProfilerTest, FoldedStacksCarryRootedSemicolonPaths)
             << line;
         at = nl + 1;
     }
-    // Shard leaves hang under shard_emulation.
-    EXPECT_NE(folded.find("shard_dispatch;shard_emulation;shard_0 "),
+    // Nested stages carry their full path.
+    EXPECT_NE(folded.find("feed_batch;batch_admission;credit_pacing "),
               std::string::npos);
+    EXPECT_NE(folded.find("feed_batch;emulation "), std::string::npos);
 }
 
 TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
@@ -235,7 +213,7 @@ TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
     trace::FlightRecorder recorder(1 << 12);
     board.attachFlightRecorder(recorder);
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
 
     const auto events = recorder.snapshot();
     const std::string plain =
@@ -258,7 +236,7 @@ TEST(ProfilerTest, MergedTraceExtendsThePlainExportByteForByte)
     EXPECT_NE(merged.find("\"pid\":99"), std::string::npos);
     EXPECT_NE(merged.find("IESPROF (emulator)"), std::string::npos);
     EXPECT_NE(merged.find("\"feed_batch\""), std::string::npos);
-    EXPECT_NE(merged.find("\"shard 0\""), std::string::npos);
+    EXPECT_NE(merged.find("\"emulation\""), std::string::npos);
     // And the plain export never mentions any of it.
     EXPECT_EQ(plain.find("IESPROF"), std::string::npos);
 }
@@ -267,7 +245,7 @@ TEST(ProfilerTest, MergedTraceWithNoLifecycleEventsIsStillValid)
 {
     Profiler prof;
     prof.beginBatch(0);
-    prof.recordStage(Stage::CounterMerge, Profiler::nowNs());
+    prof.recordStage(Stage::JournalReplay, Profiler::nowNs());
     prof.endBatch(50, Profiler::nowNs() - 1000);
     const std::string merged = mergedChromeTrace({}, prof);
     EXPECT_EQ(merged.rfind("{\"displayTimeUnit\"", 0), 0u);
@@ -281,15 +259,20 @@ TEST(ProfilerTest, ProfileJsonCarriesStagesShardsAndImbalance)
 {
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
-    profiledRun(board, prof, 2);
+    profiledRun(board, prof);
     const std::string json = profileJson(prof, 2000);
     EXPECT_EQ(json.rfind("{", 0), 0u);
     EXPECT_NE(json.find("\"refs\":2000"), std::string::npos);
     EXPECT_NE(json.find("\"stage\":\"feed_batch\""),
               std::string::npos);
     EXPECT_NE(json.find("\"ns_per_ref\""), std::string::npos);
-    EXPECT_NE(json.find("\"shard\":1"), std::string::npos);
-    EXPECT_NE(json.find("\"imbalance\""), std::string::npos);
+    // Each stage names its parent so gates can walk the tree.
+    EXPECT_NE(json.find("\"stage\":\"credit_pacing\",\"parent\":"
+                        "\"batch_admission\""),
+              std::string::npos);
+    EXPECT_NE(json.find("\"stage\":\"emulation\",\"parent\":"
+                        "\"feed_batch\""),
+              std::string::npos);
 }
 
 TEST(ProfilerTest, AttachTelemetryExportsStageAndShardSeries)
@@ -297,32 +280,24 @@ TEST(ProfilerTest, AttachTelemetryExportsStageAndShardSeries)
     ies::MemoriesBoard board(smallBoard());
     Profiler prof;
     board.attachProfiler(prof);
-    board.enableSharding(2);
 
     telemetry::Sampler sampler(1000);
     std::vector<std::string> names;
-    std::vector<double> gauges;
     class Capture final : public telemetry::Exporter
     {
       public:
-        Capture(std::vector<std::string> &n, std::vector<double> &g)
-            : names_(n), gauges_(g)
-        {
-        }
+        explicit Capture(std::vector<std::string> &n) : names_(n) {}
         void
         exportWindow(const telemetry::WindowRecord &w) override
         {
             for (const auto &c : w.counters)
                 names_.push_back(*c.name);
-            for (const auto &g : w.gauges)
-                gauges_.push_back(g.value);
         }
         void close() override {}
 
       private:
         std::vector<std::string> &names_;
-        std::vector<double> &gauges_;
-    } capture(names, gauges);
+    } capture(names);
     sampler.addExporter(capture);
     prof.attachTelemetry(sampler);
 
@@ -342,12 +317,65 @@ TEST(ProfilerTest, AttachTelemetryExportsStageAndShardSeries)
     };
     EXPECT_TRUE(has("prof.stage.feed_batch.ns"));
     EXPECT_TRUE(has("prof.stage.batch_admission.calls"));
-    EXPECT_TRUE(has("prof.shard0.busy_ns"));
-    EXPECT_TRUE(has("prof.shard1.items"));
-    // ShardEmulation is derived, not a live cell: no series for it.
-    EXPECT_FALSE(has("prof.stage.shard_emulation.ns"));
-    ASSERT_FALSE(gauges.empty());
-    EXPECT_GE(gauges.back(), 1.0); // prof.shard.imbalance
+    EXPECT_TRUE(has("prof.stage.emulation.ns"));
+}
+
+/**
+ * One profiled replay shaped like the microbench's batch section: a
+ * single-node 64 MiB board, 4096-tenure batches, no recorder, so the
+ * admission loop is the hook-free fast path and credit pacing is a
+ * few-ns sampled stage — the regime where an uncorrected clock pair
+ * dominated the estimate.
+ */
+ProfReport
+fastPathProfile()
+{
+    ies::MemoriesBoard board(ies::makeUniformBoard(
+        1, 8,
+        cache::CacheConfig{64 * MiB, 4, 128,
+                           cache::ReplacementPolicy::LRU}));
+    Profiler prof;
+    board.attachProfiler(prof);
+    oracle::StimulusParams p;
+    p.seed = 5;
+    p.count = std::size_t{1} << 20;
+    p.cpus = 8;
+    const auto txns = oracle::StimulusGen(p).generate();
+    constexpr std::size_t chunk = 4096;
+    for (std::size_t at = 0; at < txns.size(); at += chunk)
+        board.feedBatch(&txns[at], std::min(chunk, txns.size() - at));
+    return prof.snapshot();
+}
+
+TEST(ProfilerTest, NoStageEstimateExceedsItsParent)
+{
+    // A stage is a sub-interval of its parent, so its estimate may
+    // exceed the parent's only by estimator noise (10% allowed). One
+    // preempted sampled bout is scaled up 2^6 times, so a run gets
+    // three attempts; a systematic bias, such as an uncalibrated clock
+    // pair, still fails all three.
+    std::string failures;
+    for (int attempt = 0; attempt < 3; ++attempt) {
+        const ProfReport report = fastPathProfile();
+        failures.clear();
+        for (std::size_t i = 0; i < numStages; ++i) {
+            const Stage s = static_cast<Stage>(i);
+            if (s == Stage::FeedBatch)
+                continue;
+            const std::uint64_t child = report.stage(s).estNs();
+            const std::uint64_t parent =
+                report.stage(stageParent(s)).estNs();
+            if (child * 10 > parent * 11) {
+                failures += std::string(stageName(s)) + " " +
+                            std::to_string(child) + " ns > 110% of " +
+                            stageName(stageParent(s)) + " " +
+                            std::to_string(parent) + " ns\n";
+            }
+        }
+        if (failures.empty())
+            break;
+    }
+    EXPECT_TRUE(failures.empty()) << failures;
 }
 
 } // namespace
